@@ -6,7 +6,7 @@
 // runtime the bytes land on the socket that will apply them — and each
 // submission resolves a Ticket the consumer reaps in its own order.
 // The read closures own decode as well as I/O (the engine submits
-// read+streaming-decode as one unit), so decode overlaps both the
+// read+decode as one unit), so decode overlaps both the
 // other in-flight reads and the concurrent applies.
 //
 // The Reader makes no ordering promises across tickets: completions

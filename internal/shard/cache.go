@@ -7,13 +7,16 @@ import (
 	"repro/internal/graph"
 )
 
-// resident is a shard decoded and regrouped for parallel application:
-// edges are stably bucketed into destination sub-ranges whose bounds are
+// resident is a shard decoded into the layout of parallel application:
+// edges are grouped into destination sub-ranges whose bounds are
 // aligned to 64 vertices, so each sub-range's task owns its frontier
-// bitmap words exclusively and updates need no atomics. Bucketing
-// preserves the shard file's edge order within each sub-range, and since
-// all in-edges of a destination fall into one bucket, the per-destination
-// application order is independent of the task count.
+// bitmap words exclusively and updates need no atomics. The grouping
+// preserves the shard file's edge order within each sub-range — for
+// (dst,src)-sorted shards the decoded arrays already are the layout
+// (Engine.residentSorted), v1 CSR-order shards are stably bucketed
+// (Engine.bucket) — and since all in-edges of a destination fall into
+// one sub-range, the per-destination application order is independent
+// of the task count.
 type resident struct {
 	idx      int
 	src, dst []graph.VID

@@ -27,7 +27,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -196,9 +195,10 @@ func (s *Store) ApplyBatch(ins, del []graph.Edge) (*BatchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		curS := append([]graph.VID(nil), cur.Src...)
-		curD := append([]graph.VID(nil), cur.Dst...)
-		sort.Sort(&dstSrcOrder{src: curS, dst: curD})
+		curS, curD := cur.Src, cur.Dst
+		if !s.dstSrcSorted(si) {
+			sort.Sort(&dstSrcOrder{src: curS, dst: curD})
+		}
 		mS, mD := mergeSortedPairs(curS, curD, bIns.src, bIns.dst)
 		mS, mD = removeAllPairs(mS, mD, bDel.src, bDel.dst)
 
@@ -371,8 +371,10 @@ func writeDeltaFile(path string, ins, del pairList) error {
 
 // readDeltaFile decodes one delta shard file with the base decoders'
 // defensive posture: magic, declared counts against the manifest's
-// ref, a minimum-size bound before any allocation, every ID validated
-// in range, and no trailing bytes. Close errors fail the decode.
+// ref, a minimum-size bound before the edge arrays are allocated,
+// every ID validated in range, and no trailing bytes. Like
+// readShardV2 it reads the whole file once into a pooled buffer and
+// decodes from the slice. Close errors fail the decode.
 func readDeltaFile(path string, n int, lo, hi graph.VID, ref deltaRef) (ins, del pairList, size int64, err error) {
 	f, err := aio.Open(path)
 	if err != nil {
@@ -383,26 +385,29 @@ func readDeltaFile(path string, n int, lo, hi graph.VID, ref deltaRef) (ins, del
 			ins, del, size, err = pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: close: %v", path, cerr)
 		}
 	}()
-	fi, err := f.Stat()
+	buf, err := readWhole(f, path)
 	if err != nil {
-		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: %v", path, err)
+		return pairList{}, pairList{}, 0, err
 	}
-	br := bufio.NewReader(f)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: delta magic: %v", path, err)
+	defer readBufs.Put(buf)
+	b := *buf
+	if len(b) < len(deltaMagic) {
+		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: delta magic: %v", path, truncErr(b))
 	}
-	if magic != deltaMagic {
-		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: not a delta shard file (magic %q)", path, magic[:])
+	if [4]byte(b) != deltaMagic {
+		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: not a delta shard file (magic %q)", path, b[:4])
 	}
-	insCount, err := binary.ReadUvarint(br)
-	if err != nil {
-		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: insert count varint: %v", path, err)
+	p := len(deltaMagic)
+	insCount, k := binary.Uvarint(b[p:])
+	if k <= 0 {
+		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: insert count varint: %v", path, varintErr(b[p:], k))
 	}
-	delCount, err := binary.ReadUvarint(br)
-	if err != nil {
-		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: tombstone count varint: %v", path, err)
+	p += k
+	delCount, k := binary.Uvarint(b[p:])
+	if k <= 0 {
+		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: tombstone count varint: %v", path, varintErr(b[p:], k))
 	}
+	p += k
 	// Bound both counts before any arithmetic or allocation sized by
 	// them (the v2 decoder's maxCount guard, doubled for two streams),
 	// then hold them to the manifest's declaration.
@@ -414,39 +419,40 @@ func readDeltaFile(path string, n int, lo, hi graph.VID, ref deltaRef) (ins, del
 	// Every edge costs at least two stream bytes; the trailing-bytes
 	// check below makes the size agreement exact.
 	minSize := 4 + uvarintLen(insCount) + uvarintLen(delCount) + 2*int64(insCount) + 2*int64(delCount)
-	if fi.Size() < minSize {
+	if int64(len(b)) < minSize {
 		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: file is %d bytes, need at least %d for %d+%d edges",
-			path, fi.Size(), minSize, insCount, delCount)
+			path, len(b), minSize, insCount, delCount)
 	}
-	ins.src, ins.dst, err = decodeV2Stream(br, path, n, lo, hi, int64(insCount))
+	rest := b[p:]
+	ins.src, ins.dst, rest, err = decodeV2Stream(rest, path, n, lo, hi, int64(insCount))
 	if err != nil {
 		return pairList{}, pairList{}, 0, err
 	}
-	del.src, del.dst, err = decodeV2Stream(br, path, n, lo, hi, int64(delCount))
+	del.src, del.dst, rest, err = decodeV2Stream(rest, path, n, lo, hi, int64(delCount))
 	if err != nil {
 		return pairList{}, pairList{}, 0, err
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		if err != nil {
-			return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: after %d edges: %v", path, insCount+delCount, err)
-		}
+	if len(rest) != 0 {
 		return pairList{}, pairList{}, 0, fmt.Errorf("shard: %s: trailing bytes after %d edges", path, insCount+delCount)
 	}
-	return ins, del, fi.Size(), nil
+	return ins, del, int64(len(b)), nil
 }
 
 // mergeDeltas folds shard i's pending delta files into its decoded
-// base COO. The base is (dst,src)-sorted once (v2 bases already are,
-// making the sort a near-no-op; v1 bases arrive in CSR order), then
-// each generation's inserts are zipped in and its tombstones filtered
-// out — all linear passes over sorted streams. The result's
-// per-destination source order is ascending, exactly what a
-// from-scratch rebuild of the merged multiset decodes to, which is
-// why every engine path is bit-identical over a mutated store.
+// base COO, which it takes ownership of. The merge needs the base in
+// (dst,src) order: a v2 base already is (its decoder rejects anything
+// else), so it is used as decoded; a v1 base arrives in CSR order and
+// is sorted in place first. Each generation's inserts are then zipped
+// in and its tombstones filtered out — linear passes over sorted
+// streams. The result's per-destination source order is ascending,
+// exactly what a from-scratch rebuild of the merged multiset decodes
+// to, which is why every engine path is bit-identical over a mutated
+// store.
 func (s *Store) mergeDeltas(i int, base *graph.COO, size int64) (*graph.COO, int64, error) {
-	src := append([]graph.VID(nil), base.Src...)
-	dst := append([]graph.VID(nil), base.Dst...)
-	sort.Sort(&dstSrcOrder{src: src, dst: dst})
+	src, dst := base.Src, base.Dst
+	if s.format == FormatV1 {
+		sort.Sort(&dstSrcOrder{src: src, dst: dst})
+	}
 	lo, hi := s.m.Bounds[i], s.m.Bounds[i+1]
 	for _, ref := range s.m.Deltas[i] {
 		ins, del, n, err := readDeltaFile(filepath.Join(s.dir, ref.File), s.m.Vertices, lo, hi, ref)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/aio"
@@ -51,14 +52,15 @@ type Options struct {
 	// internal/aio reader. 1 — the default — is the historical "one
 	// uncached load in flight" engine; deeper budgets issue up to
 	// IODepth reads ahead of the reap point, each executed (read +
-	// streaming decode) on a worker of the NUMA domain that will apply
-	// the shard. Results are bit-identical at any depth: reads complete
-	// out of order, but shards are admitted to the LRU and handed to
-	// the applies strictly in plan order. Must fit the cache
-	// (IODepth ≤ CacheShards; the engine's footprint contract is
-	// CacheShards + IODepth decoded shards) and is contradictory with
-	// NoPrefetch — it disables the pipeline that would issue the reads;
-	// both combinations are rejected with *OptionsError.
+	// decode into the resident layout) on a worker of the NUMA domain
+	// that will apply the shard. Results are bit-identical at any
+	// depth: reads complete out of order, but shards are admitted to
+	// the LRU and handed to the applies strictly in plan order. Must
+	// fit the cache (IODepth ≤ CacheShards; the engine's footprint
+	// contract is CacheShards + IODepth decoded shards) and is
+	// contradictory with NoPrefetch — it disables the pipeline that
+	// would issue the reads; both combinations are rejected with
+	// *OptionsError.
 	IODepth int
 	// Topology is the modelled NUMA topology shards are placed on;
 	// the zero value selects sched.DefaultTopology (4 domains, the
@@ -914,8 +916,8 @@ func (e *Engine) readShard(si int) (loadResult, error) {
 	return res, nil
 }
 
-// readShardDisk is the actual disk read + decode + bucket, plus the
-// in-flight read occupancy stats.
+// readShardDisk is the actual disk read + decode into the resident
+// layout, plus the in-flight read occupancy stats.
 func (e *Engine) readShardDisk(si int) (loadResult, error) {
 	if e.onLoadBegin != nil {
 		e.onLoadBegin(si)
@@ -937,7 +939,12 @@ func (e *Engine) readShardDisk(si int) (loadResult, error) {
 	if err != nil {
 		return loadResult{}, err
 	}
-	sh := e.bucket(si, coo)
+	var sh *resident
+	if e.st.dstSrcSorted(si) {
+		sh = e.residentSorted(si, coo)
+	} else {
+		sh = e.bucket(si, coo)
+	}
 	if atomic.LoadInt32(&e.applying) != 0 {
 		overlapped = true
 	}
@@ -1004,25 +1011,51 @@ func (e *Engine) admit(si int, t *aio.Ticket[loadResult]) (*resident, error) {
 // self-scheduling can balance skewed destination sub-ranges.
 const tasksPerWorker = 4
 
-// bucket regroups a decoded shard's edges into destination sub-ranges
-// aligned to partition.BoundaryAlign via a stable counting sort. Within
-// a bucket the shard file's order is preserved, and all in-edges of a
-// destination share a bucket, so per-destination application order does
-// not depend on the task count.
-func (e *Engine) bucket(si int, coo *graph.COO) *resident {
+// taskUnits returns the apply-task geometry of shard si: its first
+// vertex lo, its 64-vertex unit count, and the number of tasks the
+// units are dealt to — task t owns units [t*units/tasks,
+// (t+1)*units/tasks), a contiguous ascending run. Tasks are sized for
+// the workers that will actually apply the shard — its owning
+// domain's view, not the full pool.
+func (e *Engine) taskUnits(si int) (lo graph.VID, units, tasks int) {
 	lo, hi := e.st.Range(si)
-	units := (int(hi-lo) + partition.BoundaryAlign - 1) / partition.BoundaryAlign
-	// Size tasks for the workers that will actually apply this shard —
-	// its owning domain's view, not the full pool.
-	tasks := e.domains[e.domainOf[si]].Threads() * tasksPerWorker
+	units = (int(hi-lo) + partition.BoundaryAlign - 1) / partition.BoundaryAlign
+	tasks = e.domains[e.domainOf[si]].Threads() * tasksPerWorker
 	if tasks > units {
 		tasks = units
 	}
 	if tasks < 1 {
 		tasks = 1
 	}
-	// unitTask[u] is the task owning 64-vertex unit u; units are dealt to
-	// tasks in contiguous, near-equal runs.
+	return lo, units, tasks
+}
+
+// residentSorted builds shard si's resident directly over a decoded
+// (dst,src)-sorted shard (Store.dstSrcSorted). Tasks own ascending,
+// contiguous destination runs, so the stable regrouping bucket would
+// perform is the identity permutation: the decoded arrays already are
+// the resident layout, and only the task offsets remain — one binary
+// search over dst per task boundary.
+func (e *Engine) residentSorted(si int, coo *graph.COO) *resident {
+	lo, units, tasks := e.taskUnits(si)
+	off := make([]int, tasks+1)
+	for t := 1; t < tasks; t++ {
+		first := lo + graph.VID(t*units/tasks*partition.BoundaryAlign)
+		off[t], _ = slices.BinarySearch(coo.Dst, first)
+	}
+	off[tasks] = len(coo.Dst)
+	return &resident{idx: si, src: coo.Src, dst: coo.Dst, off: off}
+}
+
+// bucket regroups a decoded shard's edges into the task destination
+// runs via a stable counting sort. Within a task the shard file's
+// order is preserved, and all in-edges of a destination share a task,
+// so per-destination application order does not depend on the task
+// count. Only v1 bases with no deltas need it — they arrive in CSR
+// (source-major) order; every other shard takes residentSorted.
+func (e *Engine) bucket(si int, coo *graph.COO) *resident {
+	lo, units, tasks := e.taskUnits(si)
+	// unitTask[u] is the task owning 64-vertex unit u.
 	unitTask := make([]int32, units)
 	for t := 0; t < tasks; t++ {
 		for u := t * units / tasks; u < (t+1)*units/tasks; u++ {

@@ -3,10 +3,13 @@ package shard
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
+	"sync"
 
 	"repro/internal/aio"
 	"repro/internal/graph"
@@ -358,6 +361,11 @@ func uvarintLen(x uint64) int64 {
 	return int64(binary.PutUvarint(tmp[:], x))
 }
 
+// readShardV2 reads a v2 base file whole — one read of its Stat size
+// into a pooled scratch buffer (readWhole) — and decodes it from the
+// byte slice: magic, edge count against the manifest, the minimum-size
+// bound before the edge arrays are allocated, every edge through
+// decodeV2Stream's range checks, and no trailing bytes.
 func readShardV2(path string, n int, lo, hi graph.VID, wantEdges int64) (c *graph.COO, size int64, err error) {
 	f, err := aio.Open(path)
 	if err != nil {
@@ -369,22 +377,24 @@ func readShardV2(path string, n int, lo, hi graph.VID, wantEdges int64) (c *grap
 			c, size, err = nil, 0, fmt.Errorf("shard: %s: close: %v", path, cerr)
 		}
 	}()
-	fi, err := f.Stat()
+	buf, err := readWhole(f, path)
 	if err != nil {
-		return nil, 0, fmt.Errorf("shard: %s: %v", path, err)
+		return nil, 0, err
 	}
-	br := bufio.NewReader(f)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, 0, fmt.Errorf("shard: %s: v2 magic: %v", path, err)
+	defer readBufs.Put(buf)
+	b := *buf
+	if len(b) < len(shardMagicV2) {
+		return nil, 0, fmt.Errorf("shard: %s: v2 magic: %v", path, truncErr(b))
 	}
-	if magic != shardMagicV2 {
-		return nil, 0, fmt.Errorf("shard: %s: not a v2 shard file (magic %q)", path, magic[:])
+	if [4]byte(b) != shardMagicV2 {
+		return nil, 0, fmt.Errorf("shard: %s: not a v2 shard file (magic %q)", path, b[:4])
 	}
-	count64, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, 0, fmt.Errorf("shard: %s: edge count varint: %v", path, err)
+	p := len(shardMagicV2)
+	count64, k := binary.Uvarint(b[p:])
+	if k <= 0 {
+		return nil, 0, fmt.Errorf("shard: %s: edge count varint: %v", path, varintErr(b[p:], k))
 	}
+	p += k
 	// Bound the count before any arithmetic on it: beyond maxCount the
 	// minimum-size computation below would overflow int64 and a hostile
 	// count could slip past it into the allocation — the v2 counterpart
@@ -395,60 +405,147 @@ func readShardV2(path string, n int, lo, hi graph.VID, wantEdges int64) (c *grap
 	}
 	count := int64(count64)
 	// Every edge costs at least two varint bytes, so the smallest file
-	// that can hold the declared count is known before any allocation —
-	// the v2 counterpart of the v1 exact-size check (varint streams are
-	// variable-width, so a lower bound is the strongest prior check; the
-	// trailing-bytes check below makes the size agreement exact).
-	if minSize := 4 + uvarintLen(count64) + 2*count; fi.Size() < minSize {
+	// that can hold the declared count is known before the edge arrays
+	// are allocated — the v2 counterpart of the v1 exact-size check
+	// (varint streams are variable-width, so a lower bound is the
+	// strongest prior check; the trailing-bytes check below makes the
+	// size agreement exact).
+	if minSize := 4 + uvarintLen(count64) + 2*count; int64(len(b)) < minSize {
 		return nil, 0, fmt.Errorf("shard: %s: file is %d bytes, need at least %d for %d edges",
-			path, fi.Size(), minSize, count)
+			path, len(b), minSize, count)
 	}
-	srcArr, dstArr, err := decodeV2Stream(br, path, n, lo, hi, count)
+	srcArr, dstArr, rest, err := decodeV2Stream(b[p:], path, n, lo, hi, count)
 	if err != nil {
 		return nil, 0, err
 	}
-	c = &graph.COO{N: n, Src: srcArr, Dst: dstArr}
-	if _, err := br.ReadByte(); err != io.EOF {
-		if err != nil {
-			return nil, 0, fmt.Errorf("shard: %s: after %d edges: %v", path, count, err)
-		}
+	if len(rest) != 0 {
 		return nil, 0, fmt.Errorf("shard: %s: trailing bytes after %d edges", path, count)
 	}
-	return c, fi.Size(), nil
+	return &graph.COO{N: n, Src: srcArr, Dst: dstArr}, int64(len(b)), nil
 }
 
-// decodeV2Stream reads count edges in the v2 delta+uvarint layout from
-// br (encodeV2Stream's inverse), validating every decoded source
-// against [0,n) and every destination against [lo,hi) — violations
-// surface as *VIDRangeError — and rejecting any delta that would wrap.
-// The delta state starts fresh per stream, so a delta shard file's two
-// streams decode independently with the same routine.
-func decodeV2Stream(br *bufio.Reader, path string, n int, lo, hi graph.VID, count int64) ([]graph.VID, []graph.VID, error) {
-	src := make([]graph.VID, count)
-	dst := make([]graph.VID, count)
-	var prevDst, prevSrc uint64
-	for i := int64(0); i < count; i++ {
-		dDelta, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard: %s: destination delta at edge %d: %v", path, i, err)
+// readBufs recycles the whole-file read buffers of the v2 and delta
+// decoders. A buffer is scratch for exactly one decode: the decoded
+// edge arrays are fresh allocations, so nothing resident ever aliases
+// a pooled buffer.
+var readBufs sync.Pool
+
+// readWhole reads all of f — its Stat size, in one read — into a
+// pooled buffer the caller puts back into readBufs once decoded.
+// The size is the file's actual length, not a declared count, so the
+// buffer is bounded by what is on disk.
+func readWhole(f *os.File, path string) (*[]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("shard: %s: %v", path, err)
+	}
+	size := fi.Size()
+	if size > math.MaxInt {
+		return nil, fmt.Errorf("shard: %s: file size %d", path, size)
+	}
+	buf, _ := readBufs.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if int64(cap(*buf)) < size {
+		*buf = make([]byte, size)
+	}
+	*buf = (*buf)[:size]
+	if _, err := io.ReadFull(f, *buf); err != nil {
+		readBufs.Put(buf)
+		return nil, fmt.Errorf("shard: %s: %v", path, err)
+	}
+	return buf, nil
+}
+
+// shortUvarint decodes the uvarint at the front of b when it is at
+// most three bytes long — nearly every destination delta and source
+// of a (dst,src)-sorted shard over fewer than 2^21 vertices — and
+// returns (value, bytes consumed). It is small enough to inline
+// into the decode loop; k == 0 means the varint is longer or b is
+// short, and the caller falls back to binary.Uvarint.
+func shortUvarint(b []byte) (v uint64, k int) {
+	if len(b) > 2 {
+		if b[0] < 0x80 {
+			return uint64(b[0]), 1
 		}
+		if b[1] < 0x80 {
+			return uint64(b[0]&0x7f) | uint64(b[1])<<7, 2
+		}
+		if b[2] < 0x80 {
+			return uint64(b[0]&0x7f) | uint64(b[1]&0x7f)<<7 | uint64(b[2])<<14, 3
+		}
+	}
+	return 0, 0
+}
+
+// errVarintOverflow carries binary.ReadUvarint's overflow text, so the
+// slice decoders report a malformed varint exactly as the reader-based
+// decoders they replaced did.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// varintErr converts a failed binary.Uvarint(b) result into the error
+// binary.ReadUvarint would have returned reading the same bytes from a
+// stream: io.EOF before the first byte, io.ErrUnexpectedEOF inside a
+// truncated varint, errVarintOverflow past 64 bits.
+func varintErr(b []byte, k int) error {
+	if k < 0 || len(b) >= binary.MaxVarintLen64 {
+		return errVarintOverflow
+	}
+	return truncErr(b)
+}
+
+// truncErr is io.ReadFull's error for a read that found only b: io.EOF
+// when nothing was left, io.ErrUnexpectedEOF when something was.
+func truncErr(b []byte) error {
+	if len(b) == 0 {
+		return io.EOF
+	}
+	return io.ErrUnexpectedEOF
+}
+
+// decodeV2Stream decodes count edges in the v2 delta+uvarint layout
+// from the front of b (encodeV2Stream's inverse) and returns the bytes
+// after them, validating every decoded source against [0,n) and every
+// destination against [lo,hi) — violations surface as *VIDRangeError —
+// and rejecting any delta that would wrap. Accepted output is therefore
+// (dst,src)-sorted: destination deltas and within-run source deltas are
+// non-negative by construction. The delta state starts fresh per
+// stream, so a delta shard file's two streams decode back to back with
+// the same routine.
+func decodeV2Stream(b []byte, path string, n int, lo, hi graph.VID, count int64) (src, dst []graph.VID, rest []byte, err error) {
+	src = make([]graph.VID, count)
+	dst = make([]graph.VID, count)
+	var prevDst, prevSrc uint64
+	p := 0
+	for i := range src {
+		dDelta, k := shortUvarint(b[p:])
+		if k == 0 {
+			if dDelta, k = binary.Uvarint(b[p:]); k <= 0 {
+				return nil, nil, nil, fmt.Errorf("shard: %s: destination delta at edge %d: %v", path, i, varintErr(b[p:], k))
+			}
+		}
+		p += k
 		d := prevDst + dDelta
 		if d < prevDst || d < uint64(lo) || d >= uint64(hi) {
-			return nil, nil, &VIDRangeError{Path: path, Edge: i, Field: "destination", VID: d, Lo: lo, Hi: hi}
+			return nil, nil, nil, &VIDRangeError{Path: path, Edge: int64(i), Field: "destination", VID: d, Lo: lo, Hi: hi}
 		}
-		sv, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard: %s: source varint at edge %d: %v", path, i, err)
+		sv, k := shortUvarint(b[p:])
+		if k == 0 {
+			if sv, k = binary.Uvarint(b[p:]); k <= 0 {
+				return nil, nil, nil, fmt.Errorf("shard: %s: source varint at edge %d: %v", path, i, varintErr(b[p:], k))
+			}
 		}
+		p += k
 		s := sv
 		if i > 0 && d == prevDst {
 			s = prevSrc + sv
 		}
 		if s < sv || s >= uint64(n) {
-			return nil, nil, &VIDRangeError{Path: path, Edge: i, Field: "source", VID: s, Lo: 0, Hi: graph.VID(n)}
+			return nil, nil, nil, &VIDRangeError{Path: path, Edge: int64(i), Field: "source", VID: s, Lo: 0, Hi: graph.VID(n)}
 		}
 		dst[i], src[i] = graph.VID(d), graph.VID(s)
 		prevDst, prevSrc = d, s
 	}
-	return src, dst, nil
+	return src, dst, b[p:], nil
 }

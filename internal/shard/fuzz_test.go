@@ -87,7 +87,8 @@ func FuzzShardFile(f *testing.F) {
 }
 
 // FuzzShardFileV2 feeds arbitrary bytes to the v2 (delta+uvarint)
-// streaming decoder. As in the v1 target, the manifest's edge-count
+// decoder, which reads the whole file and decodes it from the byte
+// slice. As in the v1 target, the manifest's edge-count
 // expectation is read from the fuzzed header when it parses, so the
 // decoder is exercised on inputs whose header and manifest agree —
 // truncated varints, overflowing deltas and trailing garbage must all
@@ -283,7 +284,7 @@ func shardFileSeeds() [][]byte {
 }
 
 // shardFileV2Seeds returns the v2 corpus: a real compressed shard plus
-// the varint-level corruptions the streaming decoder must reject —
+// the varint-level corruptions the slice decoder must reject —
 // truncated varints, deltas that overflow the destination range or the
 // vertex count, trailing bytes, counts that outrun the file, and a raw
 // v1 file (the mixed-format manifest case).

@@ -421,7 +421,9 @@ func (s *Store) LoadShard(i int) (*graph.COO, error) {
 // file(s) — the engine's BytesRead accounting. A shard with pending
 // deltas decodes its base file and merges the delta files in
 // (mergeDeltas); a shard without any returns the base COO untouched,
-// preserving the legacy file order (v1 stores stream in CSR order).
+// preserving the file order (v1 stores stream in CSR order; see
+// dstSrcSorted). The returned arrays are freshly allocated and owned
+// by the caller.
 func (s *Store) loadShard(i int) (*graph.COO, int64, error) {
 	if i < 0 || i >= s.m.Shards {
 		return nil, 0, fmt.Errorf("shard: index %d out of range", i)
@@ -431,6 +433,14 @@ func (s *Store) loadShard(i int) (*graph.COO, int64, error) {
 		return c, size, err
 	}
 	return s.mergeDeltas(i, c, size)
+}
+
+// dstSrcSorted reports whether loadShard(i) returns its edges in
+// (dst,src) order: v2 base files are stored that way (the decoder
+// rejects anything else) and mergeDeltas always emits it, so only a v1
+// base with no pending deltas arrives in its CSR (source-major) order.
+func (s *Store) dstSrcSorted(i int) bool {
+	return s.format == FormatV2 || len(s.deltas(i)) > 0
 }
 
 // basePath returns shard i's base file path — the legacy fixed name
